@@ -13,9 +13,9 @@
 //! * **Memoisation** — each cell is keyed by the SHA-256 of its full
 //!   [`RunConfig`] (Debug form), its CPU-scaling factor, a
 //!   caller-supplied salt for non-config inputs (custom protocol
-//!   configurations) and the code version (`git describe`). A warm
-//!   cache replays a campaign without running a single simulation;
-//!   `--no-cache` forces recomputation.
+//!   configurations) and the [`SOURCE_FINGERPRINT`] of the sources the
+//!   binary was built from. A warm cache replays a campaign without
+//!   running a single simulation; `--no-cache` forces recomputation.
 //!
 //! Cached artefacts are bit-identical to fresh ones: floats are written
 //! in shortest round-trip form, so a [`RunResult`] survives the JSON
@@ -23,7 +23,6 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -32,61 +31,11 @@ use stabl::report::ScenarioReport;
 use stabl::{report_from_runs, Chain, PaperSetup, RunConfig, RunResult, ScenarioKind};
 use stabl_types::Sha256;
 
-/// Bumped whenever the serialised [`RunResult`] layout changes, so stale
-/// cache entries miss instead of misparsing. v2: `RunResult` gained
-/// retry counters; `RunConfig` gained the adversity surface (fault
-/// schedules, Byzantine specs, retry policies). v3: `RunResult` gained
-/// the per-stage latency decomposition (`stages`); `SimStats` gained
-/// `dropped_trace_lines`. v4: `RunSummary` quantiles moved onto the
-/// `stabl-stats` quantile-sketch grid and the replication artifacts
-/// (`ReplicatedCampaign` and friends) joined the serialised surface.
-/// v5: the adversary-search types (`Genome`, `Fitness`, `CorpusEntry`
-/// and friends) joined the serialised surface, and `FaultError` grew
-/// window-validity variants that tightened which schedules ever reach a
-/// run. v6: the diagnosis types (`MetricsTimeline`, `BlameTable`,
-/// `LivenessPostMortem`, `Diagnosis` and friends) joined the serialised
-/// surface, `SimEvent` gained the `Gauge` variant (`EventCounters`
-/// gained `gauge_samples`), `RunSummary` gained `dropped_trace_lines`,
-/// and `GateReport` gained the optional utilisation summary. v7: the
-/// production workload model (`TrafficModel`, `ArrivalProcess`,
-/// `ConflictProfile`) joined the serialised surface via `RunConfig`'s
-/// workload spec, and `SimStats` gained the four contention counters
-/// (`speculative_reexecutions`, `conflict_aborts`, `pool_evictions`,
-/// `pool_replacements`).
-pub const CACHE_SCHEMA_VERSION: u32 = 7;
-
-// The cache-schema manifest: every type with a `Serialize` impl in the
-// `RunResult`-reachable crates must be listed here, and `stabl-lint`
-// (rule S-001/S-002) fails the build when the list drifts from the
-// sources. Adding a name here is the reviewed moment to ask whether
-// CACHE_SCHEMA_VERSION needs a bump.
-// The speed artifact (`ext_speed` → `BENCH_speed.json`) is deliberately
-// outside this surface: it is assembled from untyped `serde_json`
-// values, never passes through the run cache (wall-clock timings must
-// not be memoised), and so adds no `Serialize` types to the manifest.
-// The kernel's internal calendar-queue types (`Agenda`, `MsgArena`,
-// `TimerRegistry`) carry no `Serialize` impls either — the serialised
-// surface (`SimStats`, `RunResult`, …) was unchanged by the kernel
-// rewrite, which is why that refactor needed no version bump.
-// stabl-lint: cache-schema: RunResult, RunSummary, SensitivityRecord, RadarRow
-// stabl-lint: cache-schema: LatencyHistogram, StageLatencies
-// stabl-lint: cache-schema: CellTelemetry, EngineTelemetry
-// stabl-lint: cache-schema: RetryPolicy, FaultAction, FaultSchedule
-// stabl-lint: cache-schema: SimTime, SimDuration, NodeId, PanicRecord, SimStats
-// stabl-lint: cache-schema: CaptureLevel, SimEvent, TimedEvent, EventCounters
-// stabl-lint: cache-schema: LinkFault, ByzantineBehavior, ByzantineSpec
-// stabl-lint: cache-schema: MeanVar, QuantileSketch, SeedSequence
-// stabl-lint: cache-schema: ConfidenceInterval, CellObservation, ReplicateScore
-// stabl-lint: cache-schema: MetricCi, ReplicatedCell, ReplicatedCampaign
-// stabl-lint: cache-schema: ArrivalProcess, ConflictProfile, TrafficModel
-// stabl-lint: cache-schema: MetricVerdict, GateReport, UtilizationSummary
-// stabl-lint: cache-schema: Genome, ByzGene, Fitness, Objective
-// stabl-lint: cache-schema: Strategy, SearchConfig, SearchTrace, TraceStep
-// stabl-lint: cache-schema: SearchOutcome, ShrinkOutcome, CorpusEntry, ScoreCi
-// stabl-lint: cache-schema: FrameCounts, GaugeSeries, MetricsFrame, MetricsTimeline
-// stabl-lint: cache-schema: BlameCause, TxBlame, StageSplit, BlameTable
-// stabl-lint: cache-schema: FaultDescription, StalledPhase, LivenessPostMortem
-// stabl-lint: cache-schema: Diagnosis
+/// The hash of every file under `crates/*/src`, `vendor/*/src` and
+/// `Cargo.lock` this binary was built from (computed by `build.rs`; see
+/// `src/fingerprint.rs`). Every cache key mixes it in, so a cell cached
+/// by different code — committed or not — can never be replayed.
+pub const SOURCE_FINGERPRINT: &str = env!("STABL_SOURCE_FINGERPRINT");
 
 /// One simulation run the engine can schedule: a display label, the
 /// material its cache key is derived from, and the work itself.
@@ -100,7 +49,7 @@ impl Job {
     /// Wraps an arbitrary runnable cell.
     ///
     /// `material` must capture *every* input that influences the result
-    /// (the engine adds the code version and schema version itself).
+    /// (the engine adds the [`SOURCE_FINGERPRINT`] itself).
     pub fn new(
         label: impl Into<String>,
         material: String,
@@ -169,8 +118,8 @@ impl Job {
         &self.label
     }
 
-    /// The cache-key material (the hashed cell identity, minus the code
-    /// version the engine mixes in).
+    /// The cache-key material (the hashed cell identity, minus the
+    /// [`SOURCE_FINGERPRINT`] the engine mixes in).
     pub fn material(&self) -> &str {
         &self.material
     }
@@ -202,31 +151,15 @@ fn cell_label(chain: Chain, kind: ScenarioKind, cores: f64) -> String {
     }
 }
 
-/// The content-addressed cache key of a cell: SHA-256 over the schema
-/// version, the code version and the cell's key material.
-pub fn cache_key(material: &str, code_version: &str) -> String {
+/// The content-addressed cache key of a cell: SHA-256 over the source
+/// fingerprint and the cell's key material.
+pub fn cache_key(material: &str, fingerprint: &str) -> String {
     let mut hasher = Sha256::new();
     hasher.update(b"stabl-cell-cache\n");
-    hasher.update(CACHE_SCHEMA_VERSION.to_le_bytes().as_slice());
-    hasher.update(code_version.as_bytes());
+    hasher.update(fingerprint.as_bytes());
     hasher.update(b"\n");
     hasher.update(material.as_bytes());
     hasher.finalize().to_string()
-}
-
-/// What one [`Engine::run_all`] invocation did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineSummary {
-    /// Cells scheduled.
-    pub cells: usize,
-    /// Cells answered from the cache.
-    pub cache_hits: usize,
-    /// Cells actually simulated.
-    pub executed: usize,
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock time of the whole batch, milliseconds.
-    pub wall_ms: u128,
 }
 
 /// How one cell of a batch was answered: from the cache or by actually
@@ -283,7 +216,6 @@ impl EngineTelemetry {
 pub struct Engine {
     workers: usize,
     cache_dir: Option<PathBuf>,
-    code_version: String,
 }
 
 impl Engine {
@@ -293,7 +225,6 @@ impl Engine {
         Engine {
             workers: workers.max(1),
             cache_dir,
-            code_version: code_version(),
         }
     }
 
@@ -311,22 +242,7 @@ impl Engine {
 
     /// Runs every job and returns the results in submission order.
     pub fn run(&self, jobs: Vec<Job>) -> Vec<RunResult> {
-        self.run_all(jobs).0
-    }
-
-    /// Runs every job, returning results in submission order plus the
-    /// batch summary, and prints per-cell progress lines and a final
-    /// wall-clock/cache-hit summary to stderr.
-    pub fn run_all(&self, jobs: Vec<Job>) -> (Vec<RunResult>, EngineSummary) {
-        let (results, telemetry) = self.run_with_telemetry(jobs);
-        let summary = EngineSummary {
-            cells: telemetry.cells.len(),
-            cache_hits: telemetry.cache_hits as usize,
-            executed: telemetry.executed as usize,
-            workers: telemetry.workers as usize,
-            wall_ms: u128::from(telemetry.wall_ms),
-        };
-        (results, summary)
+        self.run_with_telemetry(jobs).0
     }
 
     /// Runs every job, returning results in submission order plus full
@@ -419,7 +335,7 @@ impl Engine {
         let path = self.cache_dir.as_ref().map(|dir| {
             dir.join(format!(
                 "{}.json",
-                cache_key(&job.material, &self.code_version)
+                cache_key(&job.material, SOURCE_FINGERPRINT)
             ))
         });
         if let Some(path) = &path {
@@ -433,21 +349,6 @@ impl Engine {
         }
         (result, false)
     }
-}
-
-/// The code version mixed into every cache key: `git describe
-/// --always --dirty`, or the crate version when git is unavailable
-/// (a release tarball, say).
-pub fn code_version() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|v| v.trim().to_owned())
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| concat!("pkg-", env!("CARGO_PKG_VERSION")).to_owned())
 }
 
 fn load_cached(path: &Path) -> Option<RunResult> {

@@ -39,6 +39,8 @@
 
 pub mod adversary;
 pub mod engine;
+#[cfg(test)]
+mod fingerprint;
 pub mod replicate;
 pub mod speed_bench;
 
@@ -48,7 +50,7 @@ use std::path::{Path, PathBuf};
 pub use adversary::{paper_worst, replicate_ci, EngineEval};
 pub use engine::{
     run_campaign, run_campaign_with_telemetry, run_part, CampaignCell, CellTelemetry, Engine,
-    EngineSummary, EngineTelemetry, Job,
+    EngineTelemetry, Job,
 };
 pub use replicate::{
     replication_table, run_replicated_campaign, run_replicated_campaign_with_telemetry,

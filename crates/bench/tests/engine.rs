@@ -82,17 +82,17 @@ fn warm_cache_replays_without_running() {
             .map(|&chain| Job::scenario(&setup, chain, ScenarioKind::Crash))
             .collect::<Vec<Job>>()
     };
-    let (cold, cold_summary) = engine.run_all(jobs());
-    assert_eq!(cold_summary.cache_hits, 0);
-    assert_eq!(cold_summary.executed, CHAINS.len());
+    let (cold, cold_telemetry) = engine.run_with_telemetry(jobs());
+    assert_eq!(cold_telemetry.cache_hits, 0);
+    assert_eq!(cold_telemetry.executed, CHAINS.len() as u64);
 
-    let (warm, warm_summary) = engine.run_all(jobs());
+    let (warm, warm_telemetry) = engine.run_with_telemetry(jobs());
     assert_eq!(
-        warm_summary.cache_hits,
-        CHAINS.len(),
+        warm_telemetry.cache_hits,
+        CHAINS.len() as u64,
         "second pass must be 100% cached"
     );
-    assert_eq!(warm_summary.executed, 0);
+    assert_eq!(warm_telemetry.executed, 0);
     for (fresh, cached) in cold.iter().zip(&warm) {
         assert_eq!(fresh.latencies, cached.latencies);
         assert_eq!(fresh.commit_times, cached.commit_times);
@@ -111,14 +111,14 @@ fn corrupt_cache_entries_are_recomputed() {
     let setup = quick_setup();
     let engine = Engine::new(1, Some(scratch.0.clone()));
     let job = || vec![Job::scenario(&setup, Chain::Solana, ScenarioKind::Baseline)];
-    let (fresh, _) = engine.run_all(job());
+    let fresh = engine.run(job());
     // Truncate every cache entry; the engine must fall back to running.
     for entry in fs::read_dir(&scratch.0).expect("cache dir") {
         fs::write(entry.expect("entry").path(), "{not json").expect("corrupt");
     }
-    let (recomputed, summary) = engine.run_all(job());
+    let (recomputed, telemetry) = engine.run_with_telemetry(job());
     assert_eq!(
-        summary.cache_hits, 0,
+        telemetry.cache_hits, 0,
         "corrupt entries must not count as hits"
     );
     assert_eq!(fresh[0].latencies, recomputed[0].latencies);

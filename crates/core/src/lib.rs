@@ -43,7 +43,7 @@ mod workload;
 
 pub use chains::Chain;
 pub use client::{ClientMode, RetryPolicy};
-pub use faults::{FaultAction, FaultError, FaultPlan, FaultSchedule, FaultWindow};
+pub use faults::{FaultAction, FaultError, FaultSchedule, FaultWindow};
 pub use harness::{run_protocol, run_protocol_traced, RunConfig, RunResult, RunTrace, TracedRun};
 pub use scenario::{report_from_runs, PaperSetup, ScenarioKind};
 pub use workload::{Submission, WorkloadShape, WorkloadSpec};

@@ -18,7 +18,7 @@ use stabl_sim::{ByzantineSpec, LatencyModel, NodeId, SimDuration, SimTime};
 use crate::harness::{RunConfig, RunResult};
 use crate::metrics::Sensitivity;
 use crate::report::{RunSummary, ScenarioReport};
-use crate::{Chain, ClientMode, FaultPlan, WorkloadSpec};
+use crate::{Chain, ClientMode, FaultSchedule, WorkloadSpec};
 
 /// The four adversarial dimensions of the study (plus the baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -131,21 +131,14 @@ impl PaperSetup {
     pub fn run_config(&self, chain: Chain, kind: ScenarioKind) -> RunConfig {
         let t = chain.tolerated_faults(self.n);
         let faults = match kind {
-            ScenarioKind::Baseline | ScenarioKind::SecureClient => FaultPlan::None,
-            ScenarioKind::Crash => FaultPlan::Crash {
-                nodes: self.victims(t),
-                at: self.fault_at,
-            },
-            ScenarioKind::Transient => FaultPlan::Transient {
-                nodes: self.victims(t + 1),
-                at: self.fault_at,
-                recover_at: self.recover_at,
-            },
-            ScenarioKind::Partition => FaultPlan::Partition {
-                nodes: self.victims(t + 1),
-                at: self.fault_at,
-                heal_at: self.recover_at,
-            },
+            ScenarioKind::Baseline | ScenarioKind::SecureClient => FaultSchedule::none(),
+            ScenarioKind::Crash => FaultSchedule::crash(self.victims(t), self.fault_at),
+            ScenarioKind::Transient => {
+                FaultSchedule::transient(self.victims(t + 1), self.fault_at, self.recover_at)
+            }
+            ScenarioKind::Partition => {
+                FaultSchedule::partition(self.victims(t + 1), self.fault_at, self.recover_at)
+            }
         };
         let client_mode = match kind {
             ScenarioKind::SecureClient => ClientMode::paper_secure(),
@@ -159,7 +152,7 @@ impl PaperSetup {
             horizon: self.horizon,
             workload: WorkloadSpec::paper_standard(self.submit_until),
             client_mode,
-            faults: faults.into(),
+            faults,
             byzantine: ByzantineSpec::none(),
             byzantine_rpc: Vec::new(),
             retry: None,

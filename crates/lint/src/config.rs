@@ -2,8 +2,8 @@
 //!
 //! The build environment is offline and the vendor tree holds stubs,
 //! so the linter parses the small TOML subset it needs by hand:
-//! `[section]` headers, `key = "string"`, and `key = ["a", "b"]`
-//! arrays (single- or multi-line), with `#` comments.
+//! `[section]` headers and `key = ["a", "b"]` string arrays (single-
+//! or multi-line), with `#` comments.
 //!
 //! ```toml
 //! [paths]
@@ -15,10 +15,6 @@
 //! [robustness]           # R-rules
 //! include = ["crates/core/src", "crates/sim/src"]
 //! bins = ["src/bin"]     # process::exit allowed under these
-//!
-//! [cache]                # S-rules
-//! manifest = "crates/bench/src/engine.rs"
-//! include = ["crates/core/src"]
 //! ```
 
 use std::fmt;
@@ -34,10 +30,6 @@ pub struct Config {
     pub robustness: Vec<String>,
     /// Path *infixes* under which `process::exit` is allowed (R-004).
     pub bins: Vec<String>,
-    /// Path prefixes the serde/cache rules (S-*) apply to.
-    pub cache: Vec<String>,
-    /// File holding the `CACHE_SCHEMA_VERSION` manifest comments.
-    pub manifest: Option<String>,
     /// Path prefixes the shard-safety rules (P-*) certify.
     pub shard: Vec<String>,
     /// Path prefixes E-001 discovers `impl Protocol` blocks in.
@@ -92,16 +84,6 @@ impl Default for Config {
                 "crates/stats/src".to_owned(),
             ],
             bins: vec!["src/bin".to_owned()],
-            cache: vec![
-                "crates/core/src".to_owned(),
-                "crates/sim/src".to_owned(),
-                "crates/types/src".to_owned(),
-                "crates/bench/src/engine.rs".to_owned(),
-                "crates/stats/src".to_owned(),
-                "crates/adversary/src".to_owned(),
-                "crates/workload/src".to_owned(),
-            ],
-            manifest: Some("crates/bench/src/engine.rs".to_owned()),
             shard: vec![
                 "crates/sim/src".to_owned(),
                 "crates/algorand/src".to_owned(),
@@ -173,8 +155,6 @@ impl Config {
             determinism: Vec::new(),
             robustness: Vec::new(),
             bins: Vec::new(),
-            cache: Vec::new(),
-            manifest: None,
             shard: Vec::new(),
             exhaustive: Vec::new(),
             covers: Vec::new(),
@@ -241,11 +221,6 @@ fn apply(
         ("determinism", "include") => Some(&mut config.determinism),
         ("robustness", "include") => Some(&mut config.robustness),
         ("robustness", "bins") => Some(&mut config.bins),
-        ("cache", "include") => Some(&mut config.cache),
-        ("cache", "manifest") => {
-            config.manifest = Some(parse_string(value, line)?);
-            return Ok(());
-        }
         ("shard", "include") => Some(&mut config.shard),
         ("exhaustive", "include") => Some(&mut config.exhaustive),
         ("exhaustive", "covers") => {
@@ -331,18 +306,13 @@ mod tests {
         let config = Config::parse(
             "[paths]\nskip = [\"target\", \"vendor\"]  # build output\n\n\
              [determinism]\ninclude = [\"crates/sim/src\"]\n\n\
-             [robustness]\ninclude = []\nbins = [\"src/bin\"]\n\n\
-             [cache]\nmanifest = \"crates/bench/src/engine.rs\"\ninclude = [\"crates/core/src\"]\n",
+             [robustness]\ninclude = []\nbins = [\"src/bin\"]\n",
         )
         .expect("parses");
         assert_eq!(config.skip, vec!["target", "vendor"]);
         assert_eq!(config.determinism, vec!["crates/sim/src"]);
         assert!(config.robustness.is_empty());
         assert_eq!(config.bins, vec!["src/bin"]);
-        assert_eq!(
-            config.manifest.as_deref(),
-            Some("crates/bench/src/engine.rs")
-        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! Workspace walking, scope resolution, the two-pass semantic run,
-//! manifest diffing, baseline ratcheting, certification and output.
+//! baseline ratcheting, certification and output.
 //!
 //! The v2 run has two passes. Pass 1 reads, lexes and parses every
 //! file into a [`FileAnalysis`] and builds the per-crate
 //! [`SymbolTable`] (call graphs, Protocol-handler reachability). Pass
 //! 2 runs the per-file token rules with that context, then the
-//! cross-file rules (E-*, S-002/S-003), applies leftover inline
-//! suppressions to cross-file findings, sorts, applies the
-//! `lint-baseline.json` ratchet, and finally computes per-crate
-//! shard-safety certifications from the P-rule findings.
+//! cross-file E-rules, applies leftover inline suppressions to
+//! cross-file findings, sorts, applies the `lint-baseline.json`
+//! ratchet, and finally computes per-crate shard-safety
+//! certifications from the P-rule findings.
 
 use crate::baseline::Baseline;
 use crate::config::Config;
-use crate::lexer::lex;
 use crate::rules::{flush_pending, scan_analysis, Diagnostic, FileScope, Severity};
 use crate::rules_exhaustive;
 use crate::symbols::{crate_key_of, FileAnalysis, SymbolTable};
@@ -261,9 +260,6 @@ impl Engine {
         collect_rs_files(&self.root, &self.root, &self.config.skip, &mut files)?;
         files.sort();
 
-        let manifest = self.load_manifest();
-        let manifest_names = manifest.as_ref().map(|(names, _, _)| names);
-
         // Pass 1: lex + parse everything, then build per-crate symbol
         // tables (the P-rules need handler reachability, the E-rules
         // need every crate's pattern sets).
@@ -278,19 +274,15 @@ impl Engine {
         // suppressions are held back per file so cross-file findings
         // anchored there can still consume them.
         let mut report = Report::default();
-        let mut defined_serialize: BTreeSet<String> = BTreeSet::new();
         let mut scans = Vec::with_capacity(analyses.len());
         for fa in &analyses {
             let scope = self.scope_of(&fa.rel);
-            let scan = scan_analysis(fa, scope, manifest_names, symbols.graph(&fa.crate_key));
-            for (name, _, _) in &scan.serialize_types {
-                defined_serialize.insert(name.clone());
-            }
+            let scan = scan_analysis(fa, scope, symbols.graph(&fa.crate_key));
             report.files_scanned += 1;
             scans.push(scan);
         }
 
-        // Cross-file rules: exhaustiveness drift and manifest health.
+        // Cross-file rules: exhaustiveness drift.
         let mut cross: Vec<Diagnostic> = Vec::new();
         rules_exhaustive::check(
             &analyses,
@@ -298,33 +290,6 @@ impl Engine {
             &self.config.covers,
             &mut cross,
         );
-        match &manifest {
-            Some((names, file, line)) => {
-                for name in names {
-                    if !defined_serialize.contains(name) {
-                        cross.push(Diagnostic::new(
-                            "S-002",
-                            file,
-                            *line,
-                            1,
-                            format!("manifest entry `{name}` has no Serialize impl in scope"),
-                        ));
-                    }
-                }
-            }
-            None => {
-                if let Some(path) = &self.config.manifest {
-                    cross.push(Diagnostic::new(
-                        "S-003",
-                        path,
-                        1,
-                        1,
-                        "no `stabl-lint: cache-schema:` marker found in the manifest file"
-                            .to_owned(),
-                    ));
-                }
-            }
-        }
 
         // Offer each file's leftover suppressions to cross-file
         // findings anchored in it, then flush what remains to X-002.
@@ -409,32 +374,6 @@ impl Engine {
             .collect()
     }
 
-    /// Reads the cache-schema manifest (type names, manifest rel path,
-    /// line of the first marker) from the configured manifest file.
-    fn load_manifest(&self) -> Option<(BTreeSet<String>, String, u32)> {
-        let rel = self.config.manifest.clone()?;
-        let src = fs::read_to_string(self.root.join(&rel)).ok()?;
-        let lexed = lex(&src);
-        let mut names = BTreeSet::new();
-        let mut first_line = None;
-        for comment in &lexed.comments {
-            let Some(rest) = comment.text.split("stabl-lint:").nth(1) else {
-                continue;
-            };
-            let Some(list) = rest.trim().strip_prefix("cache-schema:") else {
-                continue;
-            };
-            first_line.get_or_insert(comment.line);
-            for name in list.split(',') {
-                let name = name.trim();
-                if !name.is_empty() {
-                    names.insert(name.to_owned());
-                }
-            }
-        }
-        first_line.map(|line| (names, rel, line))
-    }
-
     fn scope_of(&self, rel: &str) -> FileScope {
         let in_any = |prefixes: &[String]| prefixes.iter().any(|p| rel.starts_with(p.as_str()));
         let is_test_path = rel.contains("/tests/")
@@ -454,7 +393,6 @@ impl Engine {
             determinism: in_any(&self.config.determinism),
             robustness: in_any(&self.config.robustness) && !is_bin,
             exit_banned: !is_bin,
-            cache: in_any(&self.config.cache),
             shard: in_any(&self.config.shard),
             numeric: in_any(&self.config.numeric),
         }

@@ -17,8 +17,8 @@
 //!   (so `0..5` does not produce a bogus float).
 //!
 //! Comments are not discarded: they are returned alongside the tokens
-//! because suppressions (`// stabl-lint: allow(rule, reason)`) and the
-//! cache-schema manifest live in comments.
+//! because suppressions (`// stabl-lint: allow(rule, reason)`) live in
+//! comments.
 
 /// What a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

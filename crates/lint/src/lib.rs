@@ -20,10 +20,6 @@
 //! * **R-rules** — robustness: no `unwrap()`/`expect()`/`panic!`/
 //!   `todo!` in non-test library code of `crates/core` and
 //!   `crates/sim`; no `process::exit` outside `src/bin`.
-//! * **S-rules** — serde/cache hygiene: every `Serialize` type in
-//!   `RunResult`-reachable modules must be listed in the cache-schema
-//!   manifest next to `CACHE_SCHEMA_VERSION`, so a new serialised
-//!   field can't silently poison the on-disk campaign cache.
 //! * **P-rules** — shard-safety certification: no ambient shared
 //!   mutable state (`static mut`, `thread_local!`, `Rc`/`Arc`, cells,
 //!   locks, atomics) in the crates ROADMAP item 2 wants to shard,

@@ -22,13 +22,10 @@
 //! | R-002 | robustness  | `.expect(…)` in non-test library code |
 //! | R-003 | robustness  | `panic!` / `todo!` / `unimplemented!` in non-test library code |
 //! | R-004 | robustness  | `process::exit` outside `src/bin` |
-//! | S-001 | cache       | `Serialize` type missing from the cache-schema manifest |
-//! | S-002 | cache       | stale cache-schema manifest entry |
-//! | S-003 | cache       | cache scope configured but no manifest marker found |
 //! | X-001 | meta        | malformed `stabl-lint:` suppression comment |
 //! | X-002 | meta        | suppression that suppresses nothing (warning) |
 //!
-//! The per-file token rules (D, R, S, X plus the v2 P and N families
+//! The per-file token rules (D, R, X plus the v2 P and N families
 //! in [`crate::rules_shard`] / [`crate::rules_numeric`]) run through
 //! [`scan_analysis`]; the cross-file E rules live in
 //! [`crate::rules_exhaustive`] and the B ratchet in
@@ -45,7 +42,6 @@
 
 use crate::lexer::{Comment, Token, TokenKind};
 use crate::symbols::{CrateGraph, FileAnalysis};
-use std::collections::BTreeSet;
 
 /// Diagnostic severity. Only [`Severity::Error`] affects the exit code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -206,26 +202,6 @@ pub const RULES: &[RuleInfo] = &[
         hint: "return an error to the caller; only binaries choose the process exit code",
     },
     RuleInfo {
-        id: "S-001",
-        severity: Severity::Error,
-        summary: "Serialize type not listed in the cache-schema manifest",
-        hint: "add the type to the `stabl-lint: cache-schema:` manifest next to \
-               CACHE_SCHEMA_VERSION and bump the version if the wire format changed",
-    },
-    RuleInfo {
-        id: "S-002",
-        severity: Severity::Error,
-        summary: "cache-schema manifest lists a type no Serialize impl defines",
-        hint: "remove the stale name from the manifest (and bump CACHE_SCHEMA_VERSION \
-               if the type was serialised into cached rows)",
-    },
-    RuleInfo {
-        id: "S-003",
-        severity: Severity::Error,
-        summary: "cache scope configured but the manifest file has no cache-schema marker",
-        hint: "add `// stabl-lint: cache-schema: Type, …` comments next to CACHE_SCHEMA_VERSION",
-    },
-    RuleInfo {
         id: "X-001",
         severity: Severity::Error,
         summary: "malformed stabl-lint suppression comment",
@@ -277,8 +253,6 @@ pub struct FileScope {
     pub robustness: bool,
     /// R-004 applies (`false` under `src/bin`).
     pub exit_banned: bool,
-    /// S-001 applies.
-    pub cache: bool,
     /// P-rules (shard-safety certification) apply.
     pub shard: bool,
     /// N-rules (numeric determinism) apply.
@@ -290,12 +264,8 @@ pub struct FileScope {
 pub struct FileScan {
     /// Findings, suppressed ones included (marked).
     pub diagnostics: Vec<Diagnostic>,
-    /// Names of types this file gives a `Serialize` impl or derive,
-    /// with positions — collected whenever the file is in *any* scope,
-    /// used by the engine for manifest staleness (S-002).
-    pub serialize_types: Vec<(String, u32, u32)>,
     /// Suppressions no per-file rule consumed. The engine offers them
-    /// to cross-file diagnostics (E-*, S-002) anchored in this file
+    /// to cross-file diagnostics (E-*) anchored in this file
     /// before declaring them unused (X-002).
     pub pending: Vec<PendingSuppression>,
 }
@@ -333,17 +303,9 @@ struct Suppression {
 /// Scans one standalone file: analyzes it, runs the per-file rules,
 /// and converts any leftover suppressions straight to X-002 (there is
 /// no engine around to consume them).
-///
-/// `manifest` is the set of type names the cache-schema manifest lists
-/// (`None` when S-rules are disabled or no manifest is configured).
-pub fn scan_file(
-    rel_path: &str,
-    src: &str,
-    scope: FileScope,
-    manifest: Option<&BTreeSet<String>>,
-) -> FileScan {
+pub fn scan_file(rel_path: &str, src: &str, scope: FileScope) -> FileScan {
     let fa = FileAnalysis::analyze(rel_path, src);
-    let mut scan = scan_analysis(&fa, scope, manifest, None);
+    let mut scan = scan_analysis(&fa, scope, None);
     flush_pending(&mut scan, rel_path);
     scan
 }
@@ -367,15 +329,9 @@ pub fn flush_pending(scan: &mut FileScan, rel_path: &str) {
 /// the file's crate call graph (used by P-rules to annotate findings
 /// with handler reachability); pass `None` when no symbol table is
 /// available.
-pub fn scan_analysis(
-    fa: &FileAnalysis,
-    scope: FileScope,
-    manifest: Option<&BTreeSet<String>>,
-    graph: Option<&CrateGraph>,
-) -> FileScan {
+pub fn scan_analysis(fa: &FileAnalysis, scope: FileScope, graph: Option<&CrateGraph>) -> FileScan {
     let rel_path = fa.rel.as_str();
     let tokens = &fa.lexed.tokens;
-    let in_test = |idx: usize| fa.in_test_span(idx);
 
     let mut scan = FileScan::default();
     let mut suppressions = parse_suppressions(&fa.lexed.comments, rel_path, &mut scan.diagnostics);
@@ -383,7 +339,7 @@ pub fn scan_analysis(
     let mut raw: Vec<(usize, &'static str, String)> = Vec::new(); // (token idx, rule, message)
 
     for i in 0..tokens.len() {
-        if in_test(i) {
+        if fa.in_test_span(i) {
             continue;
         }
         if scope.determinism {
@@ -401,31 +357,9 @@ pub fn scan_analysis(
         if scope.exit_banned && matches_path2(tokens, i, "process", "exit") {
             raw.push((i, "R-004", "`process::exit` outside src/bin".to_owned()));
         }
-        // Serialize inventory is collected for any in-scope file so the
-        // engine can diff the manifest, but S-001 only fires in cache
-        // scope.
-        collect_serialize(tokens, i, &in_test, &mut scan.serialize_types);
     }
     if scope.shard {
         crate::rules_shard::check_items(fa, &mut raw);
-    }
-
-    if scope.cache {
-        if let Some(manifest) = manifest {
-            for (name, line, col) in &scan.serialize_types {
-                if !manifest.contains(name) {
-                    scan.diagnostics.push(make_diag(
-                        "S-001",
-                        rel_path,
-                        *line,
-                        *col,
-                        format!(
-                            "`{name}` is serialised but missing from the cache-schema manifest"
-                        ),
-                    ));
-                }
-            }
-        }
     }
 
     for (idx, rule_id, message) in raw {
@@ -580,127 +514,6 @@ fn robustness_at(tokens: &[Token], i: usize, raw: &mut Vec<(usize, &'static str,
     }
 }
 
-/// Detects `#[derive(… Serialize …)] struct/enum Name` and
-/// `impl Serialize for Name` at token `i`, recording the type name.
-fn collect_serialize(
-    tokens: &[Token],
-    i: usize,
-    in_test: &dyn Fn(usize) -> bool,
-    out: &mut Vec<(String, u32, u32)>,
-) {
-    // `impl … Serialize for Name` — the `Serialize for Name` triple is
-    // unambiguous (no punctuation separates them in an impl header).
-    if ident_at(tokens, i, "Serialize")
-        && ident_at(tokens, i + 1, "for")
-        && tokens
-            .get(i + 2)
-            .is_some_and(|t| t.kind == TokenKind::Ident)
-    {
-        if let Some(t) = tokens.get(i + 2) {
-            out.push((t.text.clone(), t.line, t.col));
-        }
-        return;
-    }
-    // `#[derive(…)]` with Serialize among the paths.
-    if !(punct_at(tokens, i, '#')
-        && punct_at(tokens, i + 1, '[')
-        && ident_at(tokens, i + 2, "derive"))
-    {
-        return;
-    }
-    // Find the closing `]` of this attribute.
-    let mut depth = 0i64;
-    let mut close = None;
-    for (idx, t) in tokens.iter().enumerate().skip(i + 1) {
-        if t.kind != TokenKind::Punct {
-            continue;
-        }
-        match t.text.as_str() {
-            "[" => depth += 1,
-            "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(idx);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let Some(close) = close else { return };
-    let has_serialize = tokens[i + 3..close]
-        .iter()
-        .any(|t| t.kind == TokenKind::Ident && t.text == "Serialize");
-    if !has_serialize || in_test(i) {
-        return;
-    }
-    // Skip further attributes, then visibility, to the item keyword.
-    let mut j = close + 1;
-    loop {
-        if punct_at(tokens, j, '#') && punct_at(tokens, j + 1, '[') {
-            let mut d = 0i64;
-            let mut advanced = false;
-            for (idx, t) in tokens.iter().enumerate().skip(j + 1) {
-                if t.kind != TokenKind::Punct {
-                    continue;
-                }
-                match t.text.as_str() {
-                    "[" => d += 1,
-                    "]" => {
-                        d -= 1;
-                        if d == 0 {
-                            j = idx + 1;
-                            advanced = true;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if !advanced {
-                return;
-            }
-            continue;
-        }
-        if ident_at(tokens, j, "pub") {
-            j += 1;
-            if punct_at(tokens, j, '(') {
-                // pub(crate) / pub(in path)
-                let mut d = 0i64;
-                for (idx, t) in tokens.iter().enumerate().skip(j) {
-                    if t.kind != TokenKind::Punct {
-                        continue;
-                    }
-                    match t.text.as_str() {
-                        "(" => d += 1,
-                        ")" => {
-                            d -= 1;
-                            if d == 0 {
-                                j = idx + 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            continue;
-        }
-        break;
-    }
-    if ident_at(tokens, j, "struct") || ident_at(tokens, j, "enum") || ident_at(tokens, j, "union")
-    {
-        if let Some(t) = tokens.get(j + 1) {
-            if t.kind == TokenKind::Ident {
-                // Anchor at the attribute so a suppression directly
-                // above `#[derive(…)]` covers the finding.
-                let anchor = &tokens[i];
-                out.push((t.text.clone(), anchor.line, anchor.col));
-            }
-        }
-    }
-}
-
 /// Parses `stabl-lint: allow(rule, reason)` comments; pushes X-001
 /// diagnostics for malformed ones.
 fn parse_suppressions(
@@ -719,9 +532,6 @@ fn parse_suppressions(
             continue;
         };
         let rest = rest.trim();
-        if rest.starts_with("cache-schema") {
-            continue; // manifest marker, parsed by the engine
-        }
         let Some(inner) = rest
             .strip_prefix("allow(")
             .and_then(|r| r.split(')').next())

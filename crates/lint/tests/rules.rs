@@ -139,32 +139,6 @@ fn r_rules_skip_src_bin() {
     );
 }
 
-// ---------------------------------------------------------------- S-rules
-
-#[test]
-fn s001_unlisted_serialize_types() {
-    let diags = fixture_report();
-    let hits = active(&diags, "S-001", "crates/core/src/types.rs");
-    let names: Vec<&str> = hits.iter().map(|d| d.message.as_str()).collect();
-    assert_eq!(hits.len(), 2, "{names:?}"); // Unlisted (derive) + Manual (impl)
-    assert!(names.iter().any(|m| m.contains("`Unlisted`")));
-    assert!(names.iter().any(|m| m.contains("`Manual`")));
-    // Listed is covered by the manifest; Tolerated is suppressed.
-    assert!(names.iter().all(|m| !m.contains("`Listed`")));
-    assert_eq!(
-        suppressed(&diags, "S-001", "crates/core/src/types.rs").len(),
-        1
-    );
-}
-
-#[test]
-fn s002_stale_manifest_entry() {
-    let diags = fixture_report();
-    let hits = active(&diags, "S-002", "crates/bench/src/engine.rs");
-    assert_eq!(hits.len(), 1);
-    assert!(hits[0].message.contains("`Ghost`"));
-}
-
 // ---------------------------------------------------------------- X-rules
 
 #[test]
@@ -204,17 +178,16 @@ fn scan_file_scopes_gate_rule_families() {
         determinism: true,
         robustness: true,
         exit_banned: true,
-        cache: false,
         shard: false,
         numeric: false,
     };
-    let scan = scan_file("x.rs", src, all, None);
+    let scan = scan_file("x.rs", src, all);
     let rules: Vec<&str> = scan.diagnostics.iter().map(|d| d.rule).collect();
     assert!(rules.contains(&"D-001"));
     assert!(rules.contains(&"R-001"));
 
     let none = FileScope::default();
-    assert!(scan_file("x.rs", src, none, None).diagnostics.is_empty());
+    assert!(scan_file("x.rs", src, none).diagnostics.is_empty());
 }
 
 #[test]

@@ -108,8 +108,16 @@ fn cli_lists_rules() {
     let text = String::from_utf8_lossy(&out.stdout);
     for id in [
         "B-001", "D-001", "D-002", "D-003", "E-001", "E-002", "N-001", "N-002", "N-003", "P-001",
-        "P-002", "P-003", "P-004", "P-005", "P-006", "R-001", "R-002", "R-003", "R-004", "S-001",
+        "P-002", "P-003", "P-004", "P-005", "P-006", "R-001", "R-002", "R-003", "R-004", "X-001",
+        "X-002",
     ] {
         assert!(text.contains(id), "missing {id} in --list-rules");
     }
+    // No S-rule family: the run cache key covers every source file
+    // (crates/bench/src/fingerprint.rs), so there is no serialised-type
+    // manifest to police.
+    assert!(
+        !text.lines().any(|line| line.starts_with("S-")),
+        "--list-rules still lists an S-rule:\n{text}"
+    );
 }

@@ -22,10 +22,10 @@
 //!    human report and a machine `BENCH_stats.json`. The `stabl-stats`
 //!    binary wires this into CI.
 //!
-//! The crate is scanned by every `stabl-lint` rule family: no wall
-//! clocks or ambient entropy (D-rules), no panics in library code
-//! (R-rules) and every `Serialize` type is listed in the cache-schema
-//! manifest (S-rules).
+//! The crate is in `stabl-lint`'s determinism, robustness and numeric
+//! scopes: no wall clocks or ambient entropy (D-rules), no panics in
+//! library code (R-rules) and no float equality or truncating casts of
+//! time and seed values (N-rules).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,8 +1,8 @@
 //! JSON (de)serialisation for the traffic-model configuration types,
 //! so campaign artifacts under `results/contention/` are
 //! self-describing: every cell records the exact model that produced
-//! it. These types feed the campaign cache and are listed in the
-//! `CACHE_SCHEMA_VERSION` manifest in `bench/engine.rs`.
+//! it. These types feed the campaign cache, whose keys cover every
+//! source file, so a change to their wire format invalidates it.
 
 use serde::{Content, DeError, Deserialize, Serialize};
 
