@@ -78,6 +78,10 @@ fn time_min<F: FnMut() -> u64>(reps: usize, mut workload: F) -> (u64, u128) {
     let mut result = None;
     let mut min_ns = u128::MAX;
     for _ in 0..reps {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the speed bench measures wall time; it lands only in `wall_` fields"
+        )]
         let start = Instant::now();
         let r = workload();
         let elapsed = start.elapsed().as_nanos();

@@ -599,8 +599,11 @@ impl FaultSchedule {
     /// # Panics
     ///
     /// Panics with the [`FaultError`] message on an invalid schedule.
+    #[expect(
+        clippy::panic,
+        reason = "documented panicking wrapper for callers that treat an invalid schedule as a bug; apply() is the typed-error path"
+    )]
     pub fn schedule<P: Protocol>(&self, sim: &mut Simulation<P>) {
-        // stabl-lint: allow(R-003, documented panicking wrapper for callers that treat an invalid schedule as a bug; apply() is the typed-error path)
         self.apply(sim).unwrap_or_else(|e| panic!("{e}"));
     }
 }

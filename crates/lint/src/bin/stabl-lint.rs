@@ -1,18 +1,11 @@
 //! `stabl-lint` CLI.
 //!
 //! ```text
-//! stabl-lint [--root DIR] [--config FILE] [--format human|json]
-//!            [--baseline FILE] [--no-baseline] [--write-baseline]
-//!            [--show-suppressed] [--list-rules]
+//! stabl-lint [--root DIR] [--config FILE] [--format human|json] [--list-rules]
 //! ```
 //!
-//! `--write-baseline` renders the current unsuppressed error findings
-//! to the baseline file (the ratchet) and exits 0 — it is how debt is
-//! recorded once and how a stale baseline is shrunk after a fix.
-//!
-//! Exit codes: 0 clean, 1 unsuppressed errors, 2 usage or I/O error.
+//! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-use stabl_lint::baseline::Baseline;
 use stabl_lint::{Config, Engine, RULES};
 use std::path::PathBuf;
 use std::process;
@@ -20,11 +13,7 @@ use std::process;
 struct Args {
     root: Option<PathBuf>,
     config: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    write_baseline: bool,
     json: bool,
-    show_suppressed: bool,
     list_rules: bool,
 }
 
@@ -32,11 +21,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
         config: None,
-        baseline: None,
-        no_baseline: false,
-        write_baseline: false,
         json: false,
-        show_suppressed: false,
         list_rules: false,
     };
     let mut it = std::env::args().skip(1);
@@ -48,23 +33,15 @@ fn parse_args() -> Result<Args, String> {
             "--config" => {
                 args.config = Some(PathBuf::from(it.next().ok_or("--config needs a file")?))
             }
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?))
-            }
-            "--no-baseline" => args.no_baseline = true,
-            "--write-baseline" => args.write_baseline = true,
             "--format" => match it.next().as_deref() {
                 Some("json") => args.json = true,
                 Some("human") => args.json = false,
                 other => return Err(format!("--format expects human|json, got {other:?}")),
             },
-            "--show-suppressed" => args.show_suppressed = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 println!(
-                    "stabl-lint [--root DIR] [--config FILE] [--format human|json] \
-                     [--baseline FILE] [--no-baseline] [--write-baseline] \
-                     [--show-suppressed] [--list-rules]"
+                    "stabl-lint [--root DIR] [--config FILE] [--format human|json] [--list-rules]"
                 );
                 process::exit(0);
             }
@@ -99,14 +76,14 @@ fn main() {
 
     if args.list_rules {
         for rule in RULES {
-            println!("{} ({}): {}", rule.id, rule.severity.name(), rule.summary);
+            println!("{}: {}", rule.id, rule.summary);
             println!("    fix: {}", rule.hint);
         }
         return;
     }
 
     let root = args.root.unwrap_or_else(find_root);
-    let mut engine = match &args.config {
+    let engine = match &args.config {
         Some(path) => {
             let src = match std::fs::read_to_string(path) {
                 Ok(src) => src,
@@ -131,14 +108,6 @@ fn main() {
             }
         },
     };
-    if args.no_baseline || args.write_baseline {
-        // --write-baseline scans without the old ratchet so the new
-        // file records the true current debt.
-        engine = engine.without_baseline();
-    } else if let Some(path) = &args.baseline {
-        engine = engine.with_baseline(path);
-    }
-
     let report = match engine.run() {
         Ok(report) => report,
         Err(e) => {
@@ -147,29 +116,12 @@ fn main() {
         }
     };
 
-    if args.write_baseline {
-        let baseline = Baseline::from_diagnostics(report.diagnostics.iter());
-        let path = args
-            .baseline
-            .unwrap_or_else(|| root.join("lint-baseline.json"));
-        if let Err(e) = std::fs::write(&path, baseline.render()) {
-            eprintln!("stabl-lint: cannot write {}: {e}", path.display());
-            process::exit(2);
-        }
-        println!(
-            "stabl-lint: wrote {} ({} entries)",
-            path.display(),
-            baseline.entries.len()
-        );
-        return;
-    }
-
     if args.json {
         print!("{}", report.json());
     } else {
-        print!("{}", report.human(args.show_suppressed));
+        print!("{}", report.human());
     }
-    if report.errors().next().is_some() {
+    if !report.diagnostics.is_empty() {
         process::exit(1);
     }
 }

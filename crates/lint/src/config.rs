@@ -9,12 +9,11 @@
 //! [paths]
 //! skip = ["target", "vendor"]
 //!
-//! [determinism]          # D-rules
+//! [shard]                # P-rules
 //! include = ["crates/sim/src"]
 //!
-//! [robustness]           # R-rules
-//! include = ["crates/core/src", "crates/sim/src"]
-//! bins = ["src/bin"]     # process::exit allowed under these
+//! [numeric]              # N-rules
+//! include = ["crates/sim/src", "crates/core/src"]
 //! ```
 
 use std::fmt;
@@ -24,12 +23,6 @@ use std::fmt;
 pub struct Config {
     /// Path prefixes (relative to the root) never scanned.
     pub skip: Vec<String>,
-    /// Path prefixes the determinism rules (D-*) apply to.
-    pub determinism: Vec<String>,
-    /// Path prefixes the robustness rules (R-*) apply to.
-    pub robustness: Vec<String>,
-    /// Path *infixes* under which `process::exit` is allowed (R-004).
-    pub bins: Vec<String>,
     /// Path prefixes the shard-safety rules (P-*) certify.
     pub shard: Vec<String>,
     /// Path prefixes E-001 discovers `impl Protocol` blocks in.
@@ -65,25 +58,6 @@ impl Default for Config {
                 "crates/lint/tests/fixtures".to_owned(),
                 "results".to_owned(),
             ],
-            determinism: vec![
-                "crates/sim/src".to_owned(),
-                "crates/algorand/src".to_owned(),
-                "crates/aptos/src".to_owned(),
-                "crates/avalanche/src".to_owned(),
-                "crates/redbelly/src".to_owned(),
-                "crates/solana/src".to_owned(),
-                "crates/core/src".to_owned(),
-                "crates/types/src".to_owned(),
-                "crates/stats/src".to_owned(),
-                "crates/adversary/src".to_owned(),
-                "crates/workload/src".to_owned(),
-            ],
-            robustness: vec![
-                "crates/core/src".to_owned(),
-                "crates/sim/src".to_owned(),
-                "crates/stats/src".to_owned(),
-            ],
-            bins: vec!["src/bin".to_owned()],
             shard: vec![
                 "crates/sim/src".to_owned(),
                 "crates/algorand/src".to_owned(),
@@ -152,9 +126,6 @@ impl Config {
     pub fn parse(src: &str) -> Result<Config, ConfigError> {
         let mut config = Config {
             skip: Vec::new(),
-            determinism: Vec::new(),
-            robustness: Vec::new(),
-            bins: Vec::new(),
             shard: Vec::new(),
             exhaustive: Vec::new(),
             covers: Vec::new(),
@@ -218,9 +189,6 @@ fn apply(
 ) -> Result<(), ConfigError> {
     let slot: Option<&mut Vec<String>> = match (section, key) {
         ("paths", "skip") => Some(&mut config.skip),
-        ("determinism", "include") => Some(&mut config.determinism),
-        ("robustness", "include") => Some(&mut config.robustness),
-        ("robustness", "bins") => Some(&mut config.bins),
         ("shard", "include") => Some(&mut config.shard),
         ("exhaustive", "include") => Some(&mut config.exhaustive),
         ("exhaustive", "covers") => {
@@ -305,14 +273,13 @@ mod tests {
     fn parses_sections_strings_and_arrays() {
         let config = Config::parse(
             "[paths]\nskip = [\"target\", \"vendor\"]  # build output\n\n\
-             [determinism]\ninclude = [\"crates/sim/src\"]\n\n\
-             [robustness]\ninclude = []\nbins = [\"src/bin\"]\n",
+             [shard]\ninclude = [\"crates/sim/src\"]\n\n\
+             [numeric]\ninclude = []\n",
         )
         .expect("parses");
         assert_eq!(config.skip, vec!["target", "vendor"]);
-        assert_eq!(config.determinism, vec!["crates/sim/src"]);
-        assert!(config.robustness.is_empty());
-        assert_eq!(config.bins, vec!["src/bin"]);
+        assert_eq!(config.shard, vec!["crates/sim/src"]);
+        assert!(config.numeric.is_empty());
     }
 
     #[test]
@@ -335,6 +302,17 @@ mod tests {
         let err = Config::parse("[paths]\nbogus = \"x\"\n").expect_err("rejects");
         assert_eq!(err.line, 2);
         assert!(err.message.contains("bogus"));
+    }
+
+    #[test]
+    fn retired_determinism_and_robustness_sections_are_rejected() {
+        // The D- and R-rules moved to clippy; a stale config must fail
+        // loudly rather than silently scope nothing.
+        for section in ["determinism", "robustness"] {
+            let err = Config::parse(&format!("[{section}]\ninclude = []\n"))
+                .expect_err("rejects the retired section");
+            assert!(err.message.contains(section), "{err}");
+        }
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Workspace walking, scope resolution, the two-pass semantic run,
-//! baseline ratcheting, certification and output.
+//! certification and output.
 //!
 //! The v2 run has two passes. Pass 1 reads, lexes and parses every
 //! file into a [`FileAnalysis`] and builds the per-crate
 //! [`SymbolTable`] (call graphs, Protocol-handler reachability). Pass
 //! 2 runs the per-file token rules with that context, then the
-//! cross-file E-rules, applies leftover inline suppressions to
-//! cross-file findings, sorts, applies the `lint-baseline.json`
-//! ratchet, and finally computes per-crate shard-safety
-//! certifications from the P-rule findings.
+//! cross-file E-rules, sorts, and finally computes per-crate
+//! shard-safety certifications from the P-rule findings.
 
-use crate::baseline::Baseline;
 use crate::config::Config;
-use crate::rules::{flush_pending, scan_analysis, Diagnostic, FileScope, Severity};
+use crate::rules::{scan_analysis, Diagnostic, FileScope};
 use crate::rules_exhaustive;
 use crate::symbols::{crate_key_of, FileAnalysis, SymbolTable};
 use std::collections::BTreeSet;
@@ -20,30 +17,21 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The engine: a root directory plus a [`Config`] and an optional
-/// baseline ratchet.
+/// The engine: a root directory plus a [`Config`].
 pub struct Engine {
     root: PathBuf,
     config: Config,
-    baseline_path: Option<PathBuf>,
 }
 
-/// The shard-safety verdict for one `[shard]`-scoped crate: the
-/// machine-checked precondition for ROADMAP item 2's logical-process
-/// sharding.
+/// The shard-safety verdict for one `[shard]`-scoped crate: no ambient
+/// shared state that would break byte-identical replay or a `Clone`
+/// of the simulation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Certification {
     /// Crate key (`crates/avalanche`).
     pub crate_key: String,
-    /// Unsuppressed, unbaselined P-rule findings — any of these voids
-    /// the certificate.
+    /// P-rule findings — any of these voids the certificate.
     pub findings: usize,
-    /// P-rule findings tolerated by the baseline (still debt; also
-    /// voids the certificate).
-    pub baselined: usize,
-    /// P-rule findings suppressed inline with a documented reason —
-    /// the only accepted escape.
-    pub suppressed: usize,
     /// `true` when the crate is certified shard-safe.
     pub certified: bool,
 }
@@ -51,8 +39,8 @@ pub struct Certification {
 /// Everything one lint run produced.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// All findings, sorted by (file, line, col, rule); suppressed
-    /// findings are included and marked.
+    /// All findings, sorted by (file, line, col, rule). Every finding
+    /// is an error.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
@@ -61,67 +49,15 @@ pub struct Report {
 }
 
 impl Report {
-    /// Unsuppressed, unbaselined error-severity findings — what fails
-    /// the build.
-    pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.suppressed.is_none() && !d.baselined && d.severity == Severity::Error)
-    }
-
-    /// Unsuppressed warnings.
-    pub fn warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.suppressed.is_none() && !d.baselined && d.severity == Severity::Warning)
-    }
-
-    /// Suppressed findings.
-    pub fn suppressed(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.suppressed.is_some())
-    }
-
-    /// Findings tolerated by the committed baseline (known debt).
-    pub fn baselined(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.suppressed.is_none() && d.baselined)
-    }
-
-    /// `file:line:col: severity [rule] message` lines, one per
-    /// unsuppressed finding, plus a summary line.
-    pub fn human(&self, show_suppressed: bool) -> String {
+    /// `file:line:col: error [rule] message` lines, one per finding,
+    /// then the certification verdicts and a summary line.
+    pub fn human(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
-            match &d.suppressed {
-                None if d.baselined => {
-                    if show_suppressed {
-                        out.push_str(&format!(
-                            "{}:{}:{}: baselined [{}] {}\n",
-                            d.file, d.line, d.col, d.rule, d.message
-                        ));
-                    }
-                }
-                None => {
-                    out.push_str(&format!(
-                        "{}:{}:{}: {} [{}] {}\n    hint: {}\n",
-                        d.file,
-                        d.line,
-                        d.col,
-                        d.severity.name(),
-                        d.rule,
-                        d.message,
-                        d.hint
-                    ));
-                }
-                Some(reason) if show_suppressed => {
-                    out.push_str(&format!(
-                        "{}:{}:{}: suppressed [{}] {} (reason: {})\n",
-                        d.file, d.line, d.col, d.rule, d.message, reason
-                    ));
-                }
-                Some(_) => {}
-            }
+            out.push_str(&format!(
+                "{}:{}:{}: error [{}] {}\n    hint: {}\n",
+                d.file, d.line, d.col, d.rule, d.message, d.hint
+            ));
         }
         for c in &self.certifications {
             let verdict = if c.certified {
@@ -130,17 +66,14 @@ impl Report {
                 "NOT shard-safe"
             };
             out.push_str(&format!(
-                "shard-safety: {} {} ({} findings, {} baselined, {} suppressed)\n",
-                c.crate_key, verdict, c.findings, c.baselined, c.suppressed
+                "shard-safety: {} {} ({} findings)\n",
+                c.crate_key, verdict, c.findings
             ));
         }
         out.push_str(&format!(
-            "stabl-lint: {} files scanned, {} errors, {} warnings, {} suppressed, {} baselined\n",
+            "stabl-lint: {} files scanned, {} errors\n",
             self.files_scanned,
-            self.errors().count(),
-            self.warnings().count(),
-            self.suppressed().count(),
-            self.baselined().count(),
+            self.diagnostics.len(),
         ));
         out
     }
@@ -149,15 +82,9 @@ impl Report {
     /// dependency-free by design).
     pub fn json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"version\": 2,\n");
+        out.push_str("  \"version\": 3,\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"errors\": {},\n", self.errors().count()));
-        out.push_str(&format!("  \"warnings\": {},\n", self.warnings().count()));
-        out.push_str(&format!(
-            "  \"suppressed\": {},\n",
-            self.suppressed().count()
-        ));
-        out.push_str(&format!("  \"baselined\": {},\n", self.baselined().count()));
+        out.push_str(&format!("  \"errors\": {},\n", self.diagnostics.len()));
         out.push_str("  \"certifications\": [");
         for (i, c) in self.certifications.iter().enumerate() {
             if i > 0 {
@@ -166,8 +93,6 @@ impl Report {
             out.push_str("\n    {");
             out.push_str(&format!("\"crate\": {}, ", json_str(&c.crate_key)));
             out.push_str(&format!("\"findings\": {}, ", c.findings));
-            out.push_str(&format!("\"baselined\": {}, ", c.baselined));
-            out.push_str(&format!("\"suppressed\": {}, ", c.suppressed));
             out.push_str(&format!("\"certified\": {}}}", c.certified));
         }
         out.push_str("\n  ],\n");
@@ -178,17 +103,11 @@ impl Report {
             }
             out.push_str("\n    {");
             out.push_str(&format!("\"rule\": {}, ", json_str(d.rule)));
-            out.push_str(&format!("\"severity\": {}, ", json_str(d.severity.name())));
             out.push_str(&format!("\"file\": {}, ", json_str(&d.file)));
             out.push_str(&format!("\"line\": {}, ", d.line));
             out.push_str(&format!("\"col\": {}, ", d.col));
             out.push_str(&format!("\"message\": {}, ", json_str(&d.message)));
-            out.push_str(&format!("\"hint\": {}, ", json_str(d.hint)));
-            out.push_str(&format!("\"baselined\": {}, ", d.baselined));
-            match &d.suppressed {
-                Some(reason) => out.push_str(&format!("\"suppressed\": {}}}", json_str(reason))),
-                None => out.push_str("\"suppressed\": null}"),
-            }
+            out.push_str(&format!("\"hint\": {}}}", json_str(d.hint)));
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -214,44 +133,23 @@ pub(crate) fn json_str(s: &str) -> String {
 }
 
 impl Engine {
-    /// Creates an engine for `root` with the given config and no
-    /// baseline ratchet.
+    /// Creates an engine for `root` with the given config.
     pub fn new(root: impl Into<PathBuf>, config: Config) -> Engine {
         Engine {
             root: root.into(),
             config,
-            baseline_path: None,
         }
     }
 
     /// Creates an engine for `root`, loading `lint.toml` from it when
-    /// present (falling back to [`Config::default`]) and picking up a
-    /// committed `lint-baseline.json` when one exists.
+    /// present (falling back to [`Config::default`]).
     pub fn from_root(root: impl Into<PathBuf>) -> Result<Engine, String> {
         let root = root.into();
-        let config_path = root.join("lint.toml");
-        let config = match fs::read_to_string(&config_path) {
+        let config = match fs::read_to_string(root.join("lint.toml")) {
             Ok(src) => Config::parse(&src).map_err(|e| e.to_string())?,
             Err(_) => Config::default(),
         };
-        let mut engine = Engine::new(root, config);
-        let baseline = engine.root.join("lint-baseline.json");
-        if baseline.is_file() {
-            engine.baseline_path = Some(baseline);
-        }
-        Ok(engine)
-    }
-
-    /// Uses `path` as the baseline ratchet file.
-    pub fn with_baseline(mut self, path: impl Into<PathBuf>) -> Engine {
-        self.baseline_path = Some(path.into());
-        self
-    }
-
-    /// Disables the baseline ratchet (every finding is a live error).
-    pub fn without_baseline(mut self) -> Engine {
-        self.baseline_path = None;
-        self
+        Ok(Engine::new(root, config))
     }
 
     /// Runs the two-pass lint over every `.rs` file under the root.
@@ -270,73 +168,34 @@ impl Engine {
         }
         let symbols = SymbolTable::build(&analyses);
 
-        // Pass 2: per-file rules with symbol context. Unused inline
-        // suppressions are held back per file so cross-file findings
-        // anchored there can still consume them.
-        let mut report = Report::default();
-        let mut scans = Vec::with_capacity(analyses.len());
+        // Pass 2: per-file rules with symbol context, then the
+        // cross-file exhaustiveness rules.
+        let mut report = Report {
+            files_scanned: analyses.len(),
+            ..Report::default()
+        };
         for fa in &analyses {
             let scope = self.scope_of(&fa.rel);
-            let scan = scan_analysis(fa, scope, symbols.graph(&fa.crate_key));
-            report.files_scanned += 1;
-            scans.push(scan);
+            report
+                .diagnostics
+                .extend(scan_analysis(fa, scope, symbols.graph(&fa.crate_key)));
         }
-
-        // Cross-file rules: exhaustiveness drift.
-        let mut cross: Vec<Diagnostic> = Vec::new();
         rules_exhaustive::check(
             &analyses,
             &self.config.exhaustive,
             &self.config.covers,
-            &mut cross,
+            &mut report.diagnostics,
         );
-
-        // Offer each file's leftover suppressions to cross-file
-        // findings anchored in it, then flush what remains to X-002.
-        for (fa, scan) in analyses.iter().zip(scans.iter_mut()) {
-            for d in cross.iter_mut().filter(|d| d.file == fa.rel) {
-                if d.suppressed.is_some() {
-                    continue;
-                }
-                if let Some(pos) = scan.pending.iter().position(|p| p.covers(d)) {
-                    let sup = scan.pending.remove(pos);
-                    d.suppressed = Some(sup.reason);
-                }
-            }
-            flush_pending(scan, &fa.rel);
-        }
-        for scan in scans {
-            report.diagnostics.extend(scan.diagnostics);
-        }
-        report.diagnostics.extend(cross);
         report.diagnostics.sort_by(|a, b| {
             (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
         });
-
-        // Baseline ratchet: tolerate committed debt, flag shrunk debt.
-        if let Some(path) = &self.baseline_path {
-            let src = fs::read_to_string(path)?;
-            let baseline =
-                Baseline::parse(&src).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            let rel = path
-                .strip_prefix(&self.root)
-                .map(|p| p.to_string_lossy().replace('\\', "/"))
-                .unwrap_or_else(|_| path.to_string_lossy().into_owned());
-            let stale = crate::baseline::apply(&baseline, &rel, &mut report.diagnostics);
-            report.diagnostics.extend(stale);
-            report.diagnostics.sort_by(|a, b| {
-                (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule))
-            });
-        }
 
         report.certifications = self.certify(&report.diagnostics);
         Ok(report)
     }
 
-    /// Per-crate shard-safety verdicts from the P-rule findings: a
-    /// crate is certified only when every P finding in it is
-    /// suppressed inline with a reason — baselined debt still voids
-    /// the certificate.
+    /// Per-crate shard-safety verdicts: a crate is certified only when
+    /// it has no P-rule finding.
     fn certify(&self, diags: &[Diagnostic]) -> Vec<Certification> {
         let keys: BTreeSet<String> = self
             .config
@@ -348,27 +207,14 @@ impl Engine {
         keys.into_iter()
             .map(|crate_key| {
                 let prefix = format!("{crate_key}/");
-                let mut findings = 0;
-                let mut baselined = 0;
-                let mut suppressed = 0;
-                for d in diags {
-                    if !d.rule.starts_with("P-") || !d.file.starts_with(&prefix) {
-                        continue;
-                    }
-                    if d.suppressed.is_some() {
-                        suppressed += 1;
-                    } else if d.baselined {
-                        baselined += 1;
-                    } else {
-                        findings += 1;
-                    }
-                }
+                let findings = diags
+                    .iter()
+                    .filter(|d| d.rule.starts_with("P-") && d.file.starts_with(&prefix))
+                    .count();
                 Certification {
-                    certified: findings == 0 && baselined == 0,
+                    certified: findings == 0,
                     crate_key,
                     findings,
-                    baselined,
-                    suppressed,
                 }
             })
             .collect()
@@ -381,18 +227,10 @@ impl Engine {
             || rel.contains("/benches/")
             || rel.contains("/examples/")
             || rel.starts_with("examples/");
-        let is_bin = self
-            .config
-            .bins
-            .iter()
-            .any(|b| rel.contains(&format!("/{b}/")) || rel.contains(&format!("{b}/")));
         if is_test_path {
             return FileScope::default();
         }
         FileScope {
-            determinism: in_any(&self.config.determinism),
-            robustness: in_any(&self.config.robustness) && !is_bin,
-            exit_banned: !is_bin,
             shard: in_any(&self.config.shard),
             numeric: in_any(&self.config.numeric),
         }

@@ -8,17 +8,13 @@
 //! this module handles:
 //!
 //! * line comments, *nested* block comments and doc comments
-//!   (`Instant::now` inside a comment is not a violation);
+//!   (`static mut` inside a comment is not a violation);
 //! * string literals, including raw strings `r#"…"#` with arbitrary
-//!   `#` depth, and byte strings (`"HashMap"` in a string is not a
+//!   `#` depth, and byte strings (`"Arc"` in a string is not a
 //!   violation);
 //! * lifetimes vs. char literals (`'a` vs. `'a'` vs. `'\n'`);
 //! * numeric literals with underscores, radix prefixes and suffixes
 //!   (so `0..5` does not produce a bogus float).
-//!
-//! Comments are not discarded: they are returned alongside the tokens
-//! because suppressions (`// stabl-lint: allow(rule, reason)`) live in
-//! comments.
 
 /// What a [`Token`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,27 +48,6 @@ pub struct Token {
     pub line: u32,
     /// 1-based column of the first character.
     pub col: u32,
-}
-
-/// One comment (line, block or doc) with its 1-based position.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Comment {
-    /// Text between the comment delimiters, untrimmed.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: u32,
-    /// 1-based line the comment ends on (equal to `line` unless the
-    /// comment is a multi-line block comment).
-    pub end_line: u32,
-}
-
-/// The result of lexing one source file.
-#[derive(Clone, Debug, Default)]
-pub struct Lexed {
-    /// All non-comment tokens, in source order.
-    pub tokens: Vec<Token>,
-    /// All comments, in source order.
-    pub comments: Vec<Comment>,
 }
 
 struct Cursor {
@@ -132,24 +107,24 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `src` into tokens and comments.
+/// Lexes `src` into its non-comment tokens, in source order.
 ///
 /// The lexer is total: malformed input (an unterminated string, a lone
 /// backslash) never panics — it degrades to consuming the rest of the
 /// file as the current literal, which is the right behaviour for a
 /// linter that must keep going.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
 
     while let Some(c) = cur.peek() {
         let (line, col) = (cur.line, cur.col);
         if c.is_whitespace() {
             cur.bump();
         } else if c == '/' && cur.peek_at(1) == Some('/') {
-            lex_line_comment(&mut cur, &mut out, line);
+            skip_line_comment(&mut cur);
         } else if c == '/' && cur.peek_at(1) == Some('*') {
-            lex_block_comment(&mut cur, &mut out, line);
+            skip_block_comment(&mut cur);
         } else if c == '"' {
             lex_string(&mut cur);
             push(&mut out, TokenKind::Str, String::new(), line, col);
@@ -197,8 +172,8 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-fn push(out: &mut Lexed, kind: TokenKind, text: String, line: u32, col: u32) {
-    out.tokens.push(Token {
+fn push(out: &mut Vec<Token>, kind: TokenKind, text: String, line: u32, col: u32) {
+    out.push(Token {
         kind,
         text,
         line,
@@ -216,33 +191,21 @@ fn is_raw_string_ahead(cur: &Cursor, from: usize) -> bool {
     cur.peek_at(ahead) == Some('"')
 }
 
-fn lex_line_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
-    cur.bump(); // /
-    cur.bump(); // /
-    let mut text = String::new();
-    while let Some(c) = cur.peek() {
-        if c == '\n' {
-            break;
-        }
-        text.push(c);
+/// Consumes a `//` comment up to (not including) the newline.
+fn skip_line_comment(cur: &mut Cursor) {
+    while cur.peek().is_some_and(|c| c != '\n') {
         cur.bump();
     }
-    out.comments.push(Comment {
-        text,
-        line,
-        end_line: line,
-    });
 }
 
-fn lex_block_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
+/// Consumes a `/* … */` comment, honouring nesting.
+fn skip_block_comment(cur: &mut Cursor) {
     cur.bump(); // /
     cur.bump(); // *
     let mut depth = 1u32;
-    let mut text = String::new();
     while let Some(c) = cur.peek() {
         if c == '/' && cur.peek_at(1) == Some('*') {
             depth += 1;
-            text.push_str("/*");
             cur.bump();
             cur.bump();
         } else if c == '*' && cur.peek_at(1) == Some('/') {
@@ -252,18 +215,10 @@ fn lex_block_comment(cur: &mut Cursor, out: &mut Lexed, line: u32) {
             if depth == 0 {
                 break;
             }
-            text.push_str("*/");
         } else {
-            text.push(c);
             cur.bump();
         }
     }
-    let end_line = cur.line;
-    out.comments.push(Comment {
-        text,
-        line,
-        end_line,
-    });
 }
 
 /// Consumes a `"…"` string starting at the opening quote.
@@ -327,7 +282,7 @@ fn lex_char(cur: &mut Cursor) -> String {
 /// Distinguishes `'a` / `'static` (lifetime) from `'a'` / `'\n'`
 /// (char literal): an escape or a quote right after the ident run
 /// means char.
-fn lex_lifetime_or_char(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
+fn lex_lifetime_or_char(cur: &mut Cursor, out: &mut Vec<Token>, line: u32, col: u32) {
     if cur.peek_at(1) == Some('\\') {
         let text = lex_char(cur);
         push(out, TokenKind::Char, text, line, col);
@@ -356,7 +311,7 @@ fn lex_lifetime_or_char(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) 
     }
 }
 
-fn lex_number(cur: &mut Cursor, out: &mut Lexed, line: u32, col: u32) {
+fn lex_number(cur: &mut Cursor, out: &mut Vec<Token>, line: u32, col: u32) {
     let mut text = String::new();
     let mut float = false;
     if cur.peek() == Some('0') && matches!(cur.peek_at(1), Some('x') | Some('o') | Some('b')) {

@@ -1,4 +1,4 @@
-//! # stabl-lint — workspace determinism & robustness linter
+//! # stabl-lint — workspace semantic linter
 //!
 //! The Stabl sensitivity metric compares a baseline run against an
 //! altered run and attributes the whole difference to the injected
@@ -6,32 +6,28 @@
 //! which is why the workspace carries runtime determinism gates
 //! (byte-compared campaign artifacts, replay proptests, Full-vs-Off
 //! trace identity). Those gates catch nondeterminism only after it
-//! fires on a sampled seed. `stabl-lint` closes the remaining gap
-//! statically, the way a race detector complements a stress test: it
-//! bans the *sources* of nondeterminism (wall clocks, ambient RNG,
-//! unordered-map iteration) from protocol code before they can bite.
+//! fires on a sampled seed; static checks ban its sources up front.
 //!
-//! Rule families (full table in [`rules`]):
+//! The simple bans are clippy's: `clippy.toml` disallows wall clocks,
+//! `HashMap`/`HashSet` and `RandomState` (resolved by type, so aliases
+//! do not hide them), and `[workspace.lints.clippy]` denies
+//! `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`process::exit`
+//! and reasonless `#[allow]`/`#[expect]` attributes in library code.
+//! `stabl-lint` keeps only the rules clippy cannot state (full table
+//! in [`rules`]):
 //!
-//! * **D-rules** — determinism: no `Instant::now`, `SystemTime::now`,
-//!   `thread_rng`, `rand::random`, `HashMap`/`HashSet` inside
-//!   `crates/sim` and the five chain crates — alias-aware since v2,
-//!   so `use std::collections::HashMap as Map` no longer hides one.
-//! * **R-rules** — robustness: no `unwrap()`/`expect()`/`panic!`/
-//!   `todo!` in non-test library code of `crates/core` and
-//!   `crates/sim`; no `process::exit` outside `src/bin`.
 //! * **P-rules** — shard-safety certification: no ambient shared
 //!   mutable state (`static mut`, `thread_local!`, `Rc`/`Arc`, cells,
-//!   locks, atomics) in the crates ROADMAP item 2 wants to shard,
-//!   annotated with a handler → use call path ([`rules_shard`]).
+//!   locks, atomics) in the kernel, the chain crates and the workload
+//!   generator. Such state breaks byte-identical replay and the
+//!   `Clone`-based prefix forking of ROADMAP item 5. Findings carry a
+//!   handler → use call path ([`rules_shard`]).
 //! * **E-rules** — exhaustiveness drift: every `Protocol::Msg` variant
 //!   has a match arm in its chain crate; every `SimEvent` variant is
 //!   covered by the observe/diagnose exporters ([`rules_exhaustive`]).
 //! * **N-rules** — numeric determinism: float `==`, truncating casts
 //!   on time/seed values, raw `as_micros()` arithmetic
 //!   ([`rules_numeric`]).
-//! * **B-001** — the `lint-baseline.json` ratchet ([`baseline`]): new
-//!   findings fail CI, committed debt may only shrink.
 //!
 //! v2 runs on an item-level parser ([`parse`]) and per-crate symbol
 //! tables ([`symbols`]) built over the same hand-rolled lexer
@@ -41,7 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod config;
 pub mod engine;
 pub mod lexer;
@@ -54,4 +49,4 @@ pub mod symbols;
 
 pub use config::Config;
 pub use engine::{Certification, Engine, Report};
-pub use rules::{Diagnostic, FileScope, RuleInfo, Severity, RULES};
+pub use rules::{Diagnostic, FileScope, RuleInfo, RULES};

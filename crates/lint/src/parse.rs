@@ -9,7 +9,7 @@
 //! * **`use` trees**, including groups, globs and `as` renames, so a
 //!   banned type smuggled in under an alias
 //!   (`use std::collections::HashMap as FastMap`) resolves to its
-//!   canonical path (D- and P-rules);
+//!   canonical path (P-rules);
 //! * **enum definitions with their variants** (E-rules compare variant
 //!   sets against match coverage);
 //! * **impl blocks** with their trait, self type, associated types and
@@ -943,7 +943,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn parsed(src: &str) -> ParsedFile {
-        parse(&lex(src).tokens)
+        parse(&lex(src))
     }
 
     #[test]

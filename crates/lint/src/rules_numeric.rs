@@ -178,7 +178,7 @@ mod tests {
     use crate::lexer::lex;
 
     fn findings(src: &str) -> Vec<&'static str> {
-        let tokens = lex(src).tokens;
+        let tokens = lex(src);
         let mut raw = Vec::new();
         for i in 0..tokens.len() {
             check_token(&tokens, i, &mut raw);

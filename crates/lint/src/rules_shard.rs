@@ -1,11 +1,14 @@
 //! P-rules: shard-safety certification.
 //!
-//! ROADMAP item 2 wants to shard one simulated run across cores as
-//! communicating logical processes. That is only sound if chain node
-//! handlers are *pure message-passing state machines*: all state owned
-//! by the node struct, nothing ambient, nothing aliased, nothing
-//! synchronised behind the kernel's back. The P-rules certify exactly
-//! that, per crate, over the `[shard]` scope of `lint.toml`:
+//! Chain node handlers must be *pure message-passing state machines*:
+//! all state owned by the node struct, nothing ambient, nothing
+//! aliased, nothing synchronised behind the kernel's back. Ambient
+//! shared state lives outside the simulation's seeded inputs, so it
+//! breaks byte-identical replay; and a `Clone` of the simulation would
+//! share it instead of copying it, which breaks the prefix forking of
+//! ROADMAP item 5 (fork a run at its first divergence). The P-rules
+//! certify exactly that, per crate, over the `[shard]` scope of
+//! `lint.toml`:
 //!
 //! | id    | bans |
 //! |-------|------|
@@ -57,7 +60,7 @@ pub fn check_token(
     graph: Option<&CrateGraph>,
     raw: &mut Vec<(usize, &'static str, String)>,
 ) {
-    let tokens = &fa.lexed.tokens;
+    let tokens = &fa.tokens;
     let Some(t) = tokens.get(i) else { return };
     if t.kind != crate::lexer::TokenKind::Ident {
         return;
@@ -131,7 +134,7 @@ mod tests {
         let table = SymbolTable::build(std::slice::from_ref(&fa));
         let graph = table.graph("crates/x");
         let mut raw = Vec::new();
-        for i in 0..fa.lexed.tokens.len() {
+        for i in 0..fa.tokens.len() {
             if !fa.in_test_span(i) {
                 check_token(&fa, i, graph, &mut raw);
             }

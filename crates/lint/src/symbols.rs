@@ -7,7 +7,7 @@
 //!   the lexed tokens, its `#[cfg(test)]` spans, the parsed items, and
 //!   a **use-alias map** that resolves a local identifier to the last
 //!   segment of its canonical imported path. That resolution is what
-//!   makes D- and P-rules unspoofable: `use std::sync::Arc as Shared`
+//!   makes the P-rules unspoofable: `use std::sync::Arc as Shared`
 //!   leaves `Shared` resolving to `Arc`.
 //! * [`CrateGraph`] holds a per-crate, name-based function call graph
 //!   seeded at `impl Protocol for …` methods, with BFS-computed
@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::lexer::{self, Lexed, TokenKind};
+use crate::lexer::{self, Token, TokenKind};
 use crate::parse::{self, ParsedFile};
 
 /// The crate a workspace-relative path belongs to: `"crates/<name>"`
@@ -44,8 +44,8 @@ pub fn crate_key_of(rel: &str) -> String {
 pub struct FileAnalysis {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Lexed tokens and comments.
-    pub lexed: Lexed,
+    /// Lexed tokens, comments stripped.
+    pub tokens: Vec<Token>,
     /// `#[cfg(test)]` item spans over the token stream.
     pub test_spans: Vec<(usize, usize)>,
     /// Parsed items and pattern paths.
@@ -59,9 +59,9 @@ pub struct FileAnalysis {
 impl FileAnalysis {
     /// Lexes and parses `src`, building the alias map.
     pub fn analyze(rel: &str, src: &str) -> FileAnalysis {
-        let lexed = lexer::lex(src);
-        let test_spans = lexer::test_spans(&lexed.tokens);
-        let parsed = parse::parse(&lexed.tokens);
+        let tokens = lexer::lex(src);
+        let test_spans = lexer::test_spans(&tokens);
+        let parsed = parse::parse(&tokens);
         let mut aliases = BTreeMap::new();
         for u in &parsed.uses {
             aliases.insert(u.local.clone(), u.path.clone());
@@ -69,7 +69,7 @@ impl FileAnalysis {
         FileAnalysis {
             rel: rel.to_owned(),
             crate_key: crate_key_of(rel),
-            lexed,
+            tokens,
             test_spans,
             parsed,
             aliases,
@@ -199,7 +199,7 @@ impl SymbolTable {
             let Some(g) = graphs.get_mut(&fa.crate_key) else {
                 continue;
             };
-            let toks = &fa.lexed.tokens;
+            let toks = &fa.tokens;
             for f in fa.parsed.all_fns() {
                 let Some((s, e)) = f.body else { continue };
                 if fa.in_test_span(f.tok) {

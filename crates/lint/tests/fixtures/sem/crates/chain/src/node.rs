@@ -1,6 +1,5 @@
 //! Fixture node with seeded semantic violations:
 //!
-//! * a `use … as` alias hiding a `HashMap` (D-003 must see through it)
 //! * `Arc` reachable from a `Protocol` handler (P-003 with a call path)
 //! * a float `==` comparison (N-001)
 //! * a truncating cast of a seed (N-002)
@@ -9,11 +8,11 @@
 //!   matched — construction must not count as coverage (E-001).
 
 use crate::msg::ChainMsg;
-use std::collections::HashMap as Registry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub struct ChainNode {
-    peers: Registry<u32, u64>,
+    peers: BTreeMap<u32, u64>,
     shared: Option<Arc<u64>>,
 }
 

@@ -1,10 +1,10 @@
-//! Integration tests for the v2 semantic rules (P/E/N families,
-//! alias-aware D-rules) and the baseline ratchet, driven through the
-//! full [`stabl_lint::Engine`] on the fixture workspace under
+//! Integration tests for the semantic rules (P/E/N families), path
+//! skipping and per-file scope gating, driven through the full
+//! [`stabl_lint::Engine`] on the fixture workspace under
 //! `tests/fixtures/sem`.
 
-use stabl_lint::baseline::Baseline;
-use stabl_lint::{Diagnostic, Engine};
+use stabl_lint::rules::{scan_file, FileScope};
+use stabl_lint::{Config, Diagnostic, Engine};
 use std::path::PathBuf;
 
 fn fixture_root() -> PathBuf {
@@ -25,21 +25,6 @@ fn rules_at(diags: &[Diagnostic], file: &str) -> Vec<&'static str> {
         .filter(|d| d.file == file)
         .map(|d| d.rule)
         .collect()
-}
-
-#[test]
-fn d003_sees_through_use_aliases() {
-    let diags = fixture_report();
-    let hidden: Vec<&Diagnostic> = diags
-        .iter()
-        .filter(|d| d.rule == "D-003" && d.message.contains("alias"))
-        .collect();
-    assert!(
-        hidden
-            .iter()
-            .any(|d| d.file == "crates/chain/src/node.rs" && d.message.contains("Registry")),
-        "aliased HashMap must be flagged: {diags:?}"
-    );
 }
 
 #[test]
@@ -114,52 +99,6 @@ fn certification_is_voided_by_findings() {
 }
 
 #[test]
-fn baseline_ratchet_tolerates_debt_then_forces_shrink() {
-    let dir = std::env::temp_dir().join(format!("stabl-lint-baseline-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("lint-baseline.json");
-
-    // Record every current finding as debt, then rerun with the
-    // ratchet: nothing fails the build, everything is marked.
-    let engine = Engine::from_root(fixture_root()).expect("config parses");
-    let report = engine.run().expect("scan succeeds");
-    let unbaselined = report.errors().count();
-    assert!(unbaselined > 0, "fixture must have findings");
-    let baseline = Baseline::from_diagnostics(report.diagnostics.iter());
-    std::fs::write(&path, baseline.render()).expect("write baseline");
-
-    let engine = Engine::from_root(fixture_root())
-        .expect("config parses")
-        .with_baseline(&path);
-    let report = engine.run().expect("scan succeeds");
-    assert_eq!(report.errors().count(), 0, "all debt tolerated");
-    assert_eq!(report.baselined().count(), unbaselined);
-    let cert = report
-        .certifications
-        .iter()
-        .find(|c| c.crate_key == "crates/chain")
-        .expect("certification row");
-    assert!(
-        !cert.certified,
-        "baselined P debt still voids the certificate"
-    );
-
-    // A baseline that allows more than remains is stale: B-001.
-    let mut inflated = baseline.clone();
-    inflated.entries[0].count += 1;
-    std::fs::write(&path, inflated.render()).expect("write baseline");
-    let engine = Engine::from_root(fixture_root())
-        .expect("config parses")
-        .with_baseline(&path);
-    let report = engine.run().expect("scan succeeds");
-    let stale: Vec<&Diagnostic> = report.errors().filter(|d| d.rule == "B-001").collect();
-    assert_eq!(stale.len(), 1, "{stale:?}");
-    assert!(stale[0].message.contains("ratchet down"));
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn fixture_report_is_deterministic() {
     let a = Engine::from_root(fixture_root())
         .expect("config parses")
@@ -172,4 +111,56 @@ fn fixture_report_is_deterministic() {
         .expect("scan succeeds")
         .json();
     assert_eq!(a, b, "two runs must be byte-identical");
+}
+
+#[test]
+fn skipped_paths_are_never_scanned() {
+    let diags = fixture_report();
+    assert!(
+        diags
+            .iter()
+            .all(|d| !d.file.starts_with("crates/chain/src/generated/")),
+        "{diags:?}"
+    );
+
+    // The skipped file is in P and N scope, so with the skip list
+    // cleared it must produce findings: the check above is not vacuous.
+    let src = std::fs::read_to_string(fixture_root().join("lint.toml")).expect("fixture config");
+    let config = Config {
+        skip: Vec::new(),
+        ..Config::parse(&src).expect("config parses")
+    };
+    let unskipped = Engine::new(fixture_root(), config)
+        .run()
+        .expect("scan succeeds")
+        .diagnostics;
+    let generated = rules_at(&unskipped, "crates/chain/src/generated/ambient.rs");
+    assert_eq!(generated, vec!["P-001", "N-001"], "{unskipped:?}");
+}
+
+#[test]
+fn scan_file_scopes_gate_rule_families() {
+    let src = "pub static mut TICKS: u64 = 0;\npub fn f(x: f64) -> bool { x == 0.5 }\n";
+    let rules = |scope: FileScope| -> Vec<&'static str> {
+        scan_file("x.rs", src, scope)
+            .iter()
+            .map(|d| d.rule)
+            .collect()
+    };
+    let both = FileScope {
+        shard: true,
+        numeric: true,
+    };
+    assert_eq!(rules(both), vec!["P-001", "N-001"]);
+    let shard_only = FileScope {
+        shard: true,
+        numeric: false,
+    };
+    assert_eq!(rules(shard_only), vec!["P-001"]);
+    let numeric_only = FileScope {
+        shard: false,
+        numeric: true,
+    };
+    assert_eq!(rules(numeric_only), vec!["N-001"]);
+    assert!(rules(FileScope::default()).is_empty());
 }

@@ -17,7 +17,8 @@ fn workspace_lints_clean() {
     let engine = Engine::from_root(repo_root()).expect("lint.toml parses");
     let report = engine.run().expect("scan succeeds");
     let errors: Vec<String> = report
-        .errors()
+        .diagnostics
+        .iter()
         .map(|d| {
             format!(
                 "{}:{}:{}: [{}] {}",
@@ -31,11 +32,6 @@ fn workspace_lints_clean() {
         errors.join("\n")
     );
     assert!(report.files_scanned > 50, "walked the whole workspace");
-    assert_eq!(
-        report.baselined().count(),
-        0,
-        "the committed lint-baseline.json must carry no debt"
-    );
     let uncertified: Vec<&str> = report
         .certifications
         .iter()
@@ -54,21 +50,6 @@ fn workspace_lints_clean() {
 }
 
 #[test]
-fn workspace_suppressions_all_carry_reasons() {
-    let engine = Engine::from_root(repo_root()).expect("lint.toml parses");
-    let report = engine.run().expect("scan succeeds");
-    for diag in report.suppressed() {
-        let reason = diag.suppressed.as_deref().unwrap_or("");
-        assert!(
-            reason.len() >= 10,
-            "suppression at {}:{} has a trivial reason: {reason:?}",
-            diag.file,
-            diag.line
-        );
-    }
-}
-
-#[test]
 fn cli_exits_zero_on_clean_workspace() {
     let out = Command::new(env!("CARGO_BIN_EXE_stabl-lint"))
         .args(["--root"])
@@ -84,7 +65,7 @@ fn cli_exits_zero_on_clean_workspace() {
 
 #[test]
 fn cli_exits_nonzero_on_fixture_violations_with_json() {
-    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/ws");
+    let fixture = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/sem");
     let out = Command::new(env!("CARGO_BIN_EXE_stabl-lint"))
         .args(["--format", "json", "--root"])
         .arg(&fixture)
@@ -92,11 +73,15 @@ fn cli_exits_nonzero_on_fixture_violations_with_json() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1));
     let json = String::from_utf8_lossy(&out.stdout);
-    // Correct rule id, file and line for a known violation
-    // (Instant::now on clock.rs line 6).
-    assert!(json.contains("\"rule\": \"D-001\""), "{json}");
-    assert!(json.contains("\"file\": \"crates/sim/src/clock.rs\""));
-    assert!(json.contains("\"line\": 6"));
+    // Rule id, file and line of a known violation: the unmatched
+    // `ChainMsg::Orphan` variant on msg.rs line 7.
+    assert!(
+        json.contains("{\"rule\": \"E-001\", \"file\": \"crates/chain/src/msg.rs\", \"line\": 7, "),
+        "{json}"
+    );
+    // Cheap well-formedness check without a JSON dependency.
+    assert_eq!(json.matches('{').count(), json.matches('}').count());
+    assert_eq!(json.matches('[').count(), json.matches(']').count());
 }
 
 #[test]
@@ -107,17 +92,18 @@ fn cli_lists_rules() {
         .expect("binary runs");
     let text = String::from_utf8_lossy(&out.stdout);
     for id in [
-        "B-001", "D-001", "D-002", "D-003", "E-001", "E-002", "N-001", "N-002", "N-003", "P-001",
-        "P-002", "P-003", "P-004", "P-005", "P-006", "R-001", "R-002", "R-003", "R-004", "X-001",
-        "X-002",
+        "E-001", "E-002", "N-001", "N-002", "N-003", "P-001", "P-002", "P-003", "P-004", "P-005",
+        "P-006",
     ] {
         assert!(text.contains(id), "missing {id} in --list-rules");
     }
-    // No S-rule family: the run cache key covers every source file
-    // (crates/bench/src/fingerprint.rs), so there is no serialised-type
-    // manifest to police.
-    assert!(
-        !text.lines().any(|line| line.starts_with("S-")),
-        "--list-rules still lists an S-rule:\n{text}"
-    );
+    // The D-, R- and X-rules are clippy lints (clippy.toml,
+    // `[workspace.lints.clippy]`, tests/clippy_rules.rs); the B-001
+    // baseline ratchet and the S-rules are gone.
+    for family in ["B-", "D-", "R-", "S-", "X-"] {
+        assert!(
+            !text.lines().any(|line| line.starts_with(family)),
+            "--list-rules still lists a {family} rule:\n{text}"
+        );
+    }
 }

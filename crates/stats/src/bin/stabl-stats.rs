@@ -33,14 +33,12 @@ struct Args {
 const USAGE: &str = "stabl-stats gate --golden DIR --fresh DIR [--slack FACTOR] [--out FILE] \
                      [--telemetry FILE]";
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut it = std::env::args().skip(1);
     match it.next().as_deref() {
         Some("gate") => {}
-        Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            process::exit(0);
-        }
+        Some("--help") | Some("-h") => return Ok(None),
         other => return Err(format!("expected the `gate` subcommand, got {other:?}")),
     }
     let mut golden = None;
@@ -69,25 +67,26 @@ fn parse_args() -> Result<Args, String> {
             "--telemetry" => {
                 telemetry = Some(PathBuf::from(it.next().ok_or("--telemetry needs a file")?))
             }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                process::exit(0);
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    Ok(Args {
+    Ok(Some(Args {
         golden: golden.ok_or("--golden is required")?,
         fresh: fresh.ok_or("--fresh is required")?,
         slack,
         out,
         telemetry,
-    })
+    }))
 }
 
 fn main() {
     let args = match parse_args() {
-        Ok(args) => args,
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return;
+        }
         Err(msg) => {
             eprintln!("stabl-stats: {msg}");
             eprintln!("usage: {USAGE}");

@@ -17,7 +17,7 @@
 //! The gate is pure classification: it never exits the process itself.
 //! The `stabl-stats` binary maps [`GateReport::worst`] to exit codes
 //! (0 clean, 1 regression, 2 usage/IO error) so library code stays
-//! free of `process::exit` per stabl-lint R-rules.
+//! free of `process::exit` (the workspace denies `clippy::exit`).
 
 use std::fmt;
 use std::fs;

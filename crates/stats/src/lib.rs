@@ -22,10 +22,11 @@
 //!    human report and a machine `BENCH_stats.json`. The `stabl-stats`
 //!    binary wires this into CI.
 //!
-//! The crate is in `stabl-lint`'s determinism, robustness and numeric
-//! scopes: no wall clocks or ambient entropy (D-rules), no panics in
-//! library code (R-rules) and no float equality or truncating casts of
-//! time and seed values (N-rules).
+//! The crate lints under clippy's determinism bans (`clippy.toml`: no
+//! wall clocks, unordered containers or ambient entropy) and the
+//! workspace's no-panic lints (`[lints] workspace = true`), and under
+//! `stabl-lint`'s numeric scope: no float equality or truncating casts
+//! of time and seed values (N-rules).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,6 +3,11 @@
 //! the gate classifies it as a regression (the acceptance criterion
 //! behind the non-zero CI exit code).
 
+#![expect(
+    clippy::expect_used,
+    reason = "fixture helpers outside #[test] fns fail the test by panicking"
+)]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
